@@ -228,7 +228,7 @@ func BenchmarkMallocFreeSmall(b *testing.B) {
 
 // BenchmarkMallocFreeClass sweeps the malloc/free pair cost across
 // representative size classes — the per-class trajectory CI records in
-// BENCH_pr7.json and diffs against the committed snapshot, so a change
+// bench_ci.json and gates against bench_baseline.json, so a change
 // that speeds up one class by slowing another (bitmap geometry, refill
 // batch size, magazine capacity are all class-dependent) cannot hide
 // inside a single-size headline number. Sizes cover the small-class
@@ -322,7 +322,7 @@ func BenchmarkMallocFreeParallel(b *testing.B) {
 // direct device: no virtual-time model, no per-line simulation locks,
 // flushes as counters. The delta against the simulated variant is the
 // cost of the simulator itself; the number's own trend across commits is
-// the real-concurrency hot path (reported in BENCH_pr8.json, not gated —
+// the real-concurrency hot path (reported in bench_ci.json, not gated —
 // wall-clock on shared CI is too noisy for a hard threshold).
 func BenchmarkRealMallocFreeParallel(b *testing.B) {
 	dev, err := pmem.NewDirect(pmem.DirectConfig{Size: 512 << 20})
